@@ -2,9 +2,9 @@
 //! ablation (DESIGN.md §9).
 
 use cap_tensor::{
-    conv2d_direct, conv2d_gemm, conv2d_gemm_packed, conv2d_sparse, conv2d_sparse_packed,
-    Conv2dParams, CsrMatrix, Matrix, PackedConvWeights, PackedSparseConvWeights, Tensor4,
-    WorkspacePool,
+    conv2d_direct, conv2d_gemm, conv2d_gemm_packed_fused, conv2d_sparse,
+    conv2d_sparse_packed_fused, Conv2dParams, CsrMatrix, Matrix, PackedConvWeights,
+    PackedSparseConvWeights, Tensor4, WorkspacePool,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -35,22 +35,39 @@ fn bench_conv(c: &mut Criterion) {
     group.bench_function("sparse_csr_70pct", |b| {
         b.iter(|| conv2d_sparse(&input, &csr, Some(&bias), &params).unwrap())
     });
-    // Steady-state variants: weights pre-split into per-group bands at
-    // layer construction, im2col/GEMM scratch drawn from a workspace
-    // pool, output tensor reused across calls.
+    // Steady-state variants: weights pre-split into per-group bands once
+    // (a conv layer's weight form), im2col/GEMM scratch drawn from a
+    // workspace pool, output tensor reused across calls.
     let packed = PackedConvWeights::pack(&weights, &params).unwrap();
     let pool = WorkspacePool::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     group.bench_function("im2col_gemm_packed", |b| {
         b.iter(|| {
-            conv2d_gemm_packed(&input, &packed, Some(&bias), &params, &pool, &mut out).unwrap()
+            conv2d_gemm_packed_fused(
+                &input,
+                &packed,
+                Some(&bias),
+                &params,
+                &pool,
+                &mut out,
+                false,
+            )
+            .unwrap()
         })
     });
     let packed_csr = PackedSparseConvWeights::pack(&csr, &params).unwrap();
     group.bench_function("sparse_csr_70pct_packed", |b| {
         b.iter(|| {
-            conv2d_sparse_packed(&input, &packed_csr, Some(&bias), &params, &pool, &mut out)
-                .unwrap()
+            conv2d_sparse_packed_fused(
+                &input,
+                &packed_csr,
+                Some(&bias),
+                &params,
+                &pool,
+                &mut out,
+                false,
+            )
+            .unwrap()
         })
     });
     group.finish();

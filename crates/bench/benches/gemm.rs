@@ -30,7 +30,7 @@ fn bench_gemm(c: &mut Criterion) {
             b.iter(|| csr.matmul_dense(&activations).unwrap())
         });
         // Pack-once/run-many: the B panels are packed outside the loop
-        // (as an FC layer packs its transposed weights at construction)
+        // (as an FC layer packs its transposed weights once)
         // and the output buffer is reused, so the steady state is
         // allocation-free.
         let packed = PackedB::pack(&activations);

@@ -52,7 +52,10 @@ fn bench_kernel_paths(c: &mut Criterion) {
     for path in kernels::available_paths() {
         group.bench_function(BenchmarkId::from_parameter(path.name()), |b| {
             forced(path, || {
-                b.iter(|| csr.matmul_dense_into(&b_dense, &mut spmm_out).unwrap())
+                b.iter(|| {
+                    csr.matmul_dense_into_fused(&b_dense, &mut spmm_out, None, false)
+                        .unwrap()
+                })
             })
         });
     }

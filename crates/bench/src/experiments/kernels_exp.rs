@@ -149,7 +149,10 @@ pub fn kernels_ablation() -> String {
         let mut rates = Vec::new();
         for &p in &paths {
             let secs = on_path(p, || {
-                best_secs(|| csr.matmul_dense_into(&b, &mut c).unwrap())
+                best_secs(|| {
+                    csr.matmul_dense_into_fused(&b, &mut c, None, false)
+                        .unwrap()
+                })
             });
             rates.push(flops / secs / 1e9);
         }

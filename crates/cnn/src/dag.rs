@@ -542,6 +542,7 @@ mod tests {
 
     #[test]
     fn executor_matches_sequential_bitwise() {
+        let _precision = crate::layer::precision_lock();
         let net = branchy();
         let x = Tensor4::from_fn(2, 3, 6, 6, |n, c, h, w| ((n + c + h + w) % 5) as f32 - 2.0);
         force(Some(DagMode::Off));

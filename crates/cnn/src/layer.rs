@@ -3,9 +3,13 @@
 //! Layers are forward-only (inference is what the paper measures); the
 //! trainable path lives in [`crate::train`]. A layer consumes one or more
 //! NCHW tensors and produces one. Convolution and inner-product layers
-//! carry weights and support pruning: zeroed weights are detected and,
-//! above a sparsity threshold, execution switches to CSR sparse kernels —
-//! mirroring the sparse-Caffe fork the paper uses.
+//! carry weights and support pruning. Each keeps its raw weight matrix
+//! (the source of truth for [`Layer::weights`], pruning and training)
+//! plus exactly one executable form of it, built on the first forward:
+//! CSR when the zero fraction exceeds [`SPARSE_THRESHOLD`], dense-packed
+//! otherwise, quantized when the process runs int8 — mirroring the
+//! sparse-Caffe fork the paper uses, where pruned layers run sparse
+//! kernels.
 
 mod concat;
 mod conv;
@@ -17,7 +21,7 @@ mod relu;
 mod softmax;
 
 pub use concat::ConcatLayer;
-pub use conv::{ConvLayer, SPARSE_THRESHOLD};
+pub use conv::ConvLayer;
 pub use dropout::DropoutLayer;
 pub use inner_product::InnerProductLayer;
 pub use lrn::LrnLayer;
@@ -25,8 +29,73 @@ pub use pool::{PoolLayer, PoolMode};
 pub use relu::ReluLayer;
 pub use softmax::SoftmaxLayer;
 
-use cap_tensor::{CalibrationMethod, Matrix, Tensor4, TensorResult};
+use cap_tensor::{CalibrationMethod, Matrix, Precision, Tensor4, TensorResult};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+
+/// Zero-weight fraction above which a weighted layer runs its CSR
+/// kernels instead of the dense ones.
+///
+/// A fixed constant, not a measured break-even: the crossover depends on
+/// the layer's shape, and some pruned layers (Caffenet's conv2 at 60 %
+/// filter pruning) run slower on CSR than dense. A layer applies the
+/// test once, when it builds its executable weight form — never per
+/// forward.
+pub const SPARSE_THRESHOLD: f64 = 0.4;
+
+/// Whether a layer with these weights runs its CSR kernels.
+fn runs_csr(weights: &Matrix) -> bool {
+    weights.sparsity(0.0) > SPARSE_THRESHOLD
+}
+
+/// The one executable form of a weighted layer's weights.
+///
+/// Built from the raw weights on the first forward, for the precision
+/// that forward runs at; [`Layer::set_weights`] clears it, and a forward
+/// at another process precision replaces it — the old form leaves the
+/// slot before the new one is built, so the two are never held side by
+/// side.
+struct WeightSlot<F> {
+    built: RwLock<Option<(Precision, F)>>,
+}
+
+impl<F> WeightSlot<F> {
+    fn new() -> Self {
+        Self {
+            built: RwLock::new(None),
+        }
+    }
+
+    /// Run `kernel` on the form for `precision`, made by `build` first
+    /// when the slot is empty or holds the form of the other precision.
+    /// The kernel runs under the slot's lock: shared in the steady
+    /// state, so concurrent forwards run together, while a replacement
+    /// waits for the forwards still reading the old form.
+    fn run(
+        &self,
+        precision: Precision,
+        build: impl FnOnce() -> TensorResult<F>,
+        kernel: impl FnOnce(&F) -> TensorResult<()>,
+    ) -> TensorResult<()> {
+        if let Some((p, form)) = self.built.read().as_ref() {
+            if *p == precision {
+                return kernel(form);
+            }
+        }
+        let mut slot = self.built.write();
+        // Another forward may have built it while this one waited.
+        if !matches!(&*slot, Some((p, _)) if *p == precision) {
+            *slot = None;
+            *slot = Some((precision, build()?));
+        }
+        let (_, form) = slot.as_ref().expect("the slot was just filled");
+        kernel(form)
+    }
+
+    fn clear(&mut self) {
+        *self.built.get_mut() = None;
+    }
+}
 
 /// Per-image shape `(channels, height, width)` flowing between layers.
 pub type ChwShape = (usize, usize, usize);
@@ -159,6 +228,25 @@ pub trait Layer: Send + Sync {
 /// used throughout the evaluation.
 pub fn flops_per_image(layer: &dyn Layer, in_shapes: &[ChwShape]) -> TensorResult<u64> {
     Ok(2 * layer.macs_per_image(in_shapes)?)
+}
+
+/// Serializes the unit tests that force the process precision against
+/// the unit tests whose comparisons a forced precision would break.
+#[cfg(test)]
+pub(crate) fn precision_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `f` with the process precision forced to `precision`, holding
+/// [`precision_lock`].
+#[cfg(test)]
+fn with_precision<R>(precision: Precision, f: impl FnOnce() -> R) -> R {
+    let _guard = precision_lock();
+    cap_tensor::precision::force(Some(precision));
+    let result = f();
+    cap_tensor::precision::force(None);
+    result
 }
 
 #[cfg(test)]

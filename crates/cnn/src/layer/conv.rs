@@ -1,55 +1,62 @@
 //! Convolution layer with a sparse fast path for pruned weights.
 
-use super::{ChwShape, Layer, LayerKind};
+use super::{runs_csr, ChwShape, Layer, LayerKind, WeightSlot};
 use cap_tensor::{
     conv2d_gemm_packed_fused, conv2d_i8_packed_fused, conv2d_i8_sparse_fused,
     conv2d_sparse_packed_fused, precision, symmetric_scale, CalibrationMethod, Conv2dParams,
     CsrMatrix, Matrix, PackedConvWeights, PackedSparseConvWeights, Precision, QuantizedConvWeights,
     QuantizedSparseConvWeights, ShapeError, Tensor4, TensorResult, WorkspacePool,
 };
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-
-/// Weight sparsity above which the CSR kernel beats dense GEMM. The
-/// break-even is measured by the `gemm` criterion bench; 40 % is a
-/// conservative default for the rayon CPU kernels here.
-pub const SPARSE_THRESHOLD: f64 = 0.4;
 
 /// 2-D convolution layer (optionally grouped, AlexNet-style).
 ///
-/// Weights are stored dense; whenever their zero fraction exceeds
-/// [`SPARSE_THRESHOLD`], a per-group CSR split is built lazily and used
-/// for forward execution, so pruning translates into real wall-clock
-/// savings exactly as in the sparse-Caffe substrate of the paper.
-///
-/// Both dense and sparse weights are pre-split into per-group bands at
-/// construction / `set_weights` time ([`PackedConvWeights`],
-/// [`PackedSparseConvWeights`]), and im2col / GEMM scratch comes from a
+/// Weights are stored dense and executed from one form built from them
+/// on the first forward: per-group CSR bands when their zero fraction
+/// exceeds [`super::SPARSE_THRESHOLD`], so pruning translates into real
+/// wall-clock savings exactly as in the sparse-Caffe substrate of the
+/// paper, and per-group dense bands otherwise — quantized to int8 when
+/// the process runs at that precision. im2col / GEMM scratch comes from a
 /// per-layer [`WorkspacePool`], so steady-state forwards allocate nothing.
 pub struct ConvLayer {
     name: String,
     params: Conv2dParams,
     weights: Matrix,
     bias: Vec<f32>,
-    /// Per-group weight bands, rebuilt eagerly by `set_weights`.
-    packed: PackedConvWeights,
-    /// Lazily built per-group CSR split of `weights`; invalidated by
-    /// `set_weights`. `Arc` so forwards clone a pointer, not the data.
-    sparse_cache: RwLock<Option<Arc<PackedSparseConvWeights>>>,
-    /// Lazily built int8 quantization of `weights` (dense form);
-    /// invalidated by `set_weights`. Built only when the process runs
-    /// with `CAP_TENSOR_PRECISION=int8`.
-    quant_cache: RwLock<Option<Arc<QuantizedConvWeights>>>,
-    /// Lazily built int8 quantization of the CSR split, for pruned
-    /// weights on the int8 path; invalidated by `set_weights`.
-    quant_sparse_cache: RwLock<Option<Arc<QuantizedSparseConvWeights>>>,
+    /// The executable form of `weights`; cleared by `set_weights`.
+    form: WeightSlot<WeightFormat>,
     /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
     /// uncalibrated, in which case the int8 path falls back to a
     /// per-call max-abs estimate over the whole input tensor.
     act_scale: AtomicU32,
     /// Reusable im2col/product scratch shared across forward calls.
     pool: WorkspacePool,
+}
+
+/// What a convolution's kernels run: its weights split into per-group
+/// bands, each variant served by exactly one kernel entry.
+enum WeightFormat {
+    Dense(PackedConvWeights),
+    Csr(PackedSparseConvWeights),
+    Int8Dense(QuantizedConvWeights),
+    Int8Csr(QuantizedSparseConvWeights),
+}
+
+impl WeightFormat {
+    fn build(weights: &Matrix, params: &Conv2dParams, precision: Precision) -> TensorResult<Self> {
+        if runs_csr(weights) {
+            let csr = CsrMatrix::from_dense(weights, 0.0);
+            Ok(match precision {
+                Precision::F32 => Self::Csr(PackedSparseConvWeights::pack(&csr, params)?),
+                Precision::Int8 => Self::Int8Csr(QuantizedSparseConvWeights::pack(&csr, params)?),
+            })
+        } else {
+            Ok(match precision {
+                Precision::F32 => Self::Dense(PackedConvWeights::pack(weights, params)?),
+                Precision::Int8 => Self::Int8Dense(QuantizedConvWeights::pack(weights, params)?),
+            })
+        }
+    }
 }
 
 impl ConvLayer {
@@ -80,16 +87,12 @@ impl ConvLayer {
                 params.out_channels
             )));
         }
-        let packed = PackedConvWeights::pack(&weights, &params)?;
         Ok(Self {
             name: name.into(),
             params,
             weights,
             bias,
-            packed,
-            sparse_cache: RwLock::new(None),
-            quant_cache: RwLock::new(None),
-            quant_sparse_cache: RwLock::new(None),
+            form: WeightSlot::new(),
             act_scale: AtomicU32::new(0),
             pool: WorkspacePool::new(),
         })
@@ -103,35 +106,6 @@ impl ConvLayer {
     /// Bias vector.
     pub fn bias(&self) -> &[f32] {
         &self.bias
-    }
-
-    fn sparse(&self) -> TensorResult<Arc<PackedSparseConvWeights>> {
-        if let Some(cached) = self.sparse_cache.read().as_ref() {
-            return Ok(Arc::clone(cached));
-        }
-        let csr = CsrMatrix::from_dense(&self.weights, 0.0);
-        let built = Arc::new(PackedSparseConvWeights::pack(&csr, &self.params)?);
-        *self.sparse_cache.write() = Some(Arc::clone(&built));
-        Ok(built)
-    }
-
-    fn quant(&self) -> TensorResult<Arc<QuantizedConvWeights>> {
-        if let Some(cached) = self.quant_cache.read().as_ref() {
-            return Ok(Arc::clone(cached));
-        }
-        let built = Arc::new(QuantizedConvWeights::pack(&self.weights, &self.params)?);
-        *self.quant_cache.write() = Some(Arc::clone(&built));
-        Ok(built)
-    }
-
-    fn quant_sparse(&self) -> TensorResult<Arc<QuantizedSparseConvWeights>> {
-        if let Some(cached) = self.quant_sparse_cache.read().as_ref() {
-            return Ok(Arc::clone(cached));
-        }
-        let csr = CsrMatrix::from_dense(&self.weights, 0.0);
-        let built = Arc::new(QuantizedSparseConvWeights::pack(&csr, &self.params)?);
-        *self.quant_sparse_cache.write() = Some(Arc::clone(&built));
-        Ok(built)
     }
 
     /// Calibrated activation scale, or a deterministic per-call max-abs
@@ -153,56 +127,28 @@ impl ConvLayer {
         let [input] = inputs else {
             return Err(ShapeError::new("conv: expected exactly one input"));
         };
-        if precision::selected() == Precision::Int8 {
-            let act_scale = self.act_scale_for(input);
-            return if self.weights.sparsity(0.0) > SPARSE_THRESHOLD {
-                let qw = self.quant_sparse()?;
-                conv2d_i8_sparse_fused(
-                    input,
-                    &qw,
-                    Some(&self.bias),
-                    &self.params,
-                    &self.pool,
-                    out,
-                    relu,
-                    act_scale,
-                )
-            } else {
-                let qw = self.quant()?;
-                conv2d_i8_packed_fused(
-                    input,
-                    &qw,
-                    Some(&self.bias),
-                    &self.params,
-                    &self.pool,
-                    out,
-                    relu,
-                    act_scale,
-                )
-            };
-        }
-        if self.weights.sparsity(0.0) > SPARSE_THRESHOLD {
-            let sparse = self.sparse()?;
-            conv2d_sparse_packed_fused(
-                input,
-                &sparse,
-                Some(&self.bias),
-                &self.params,
-                &self.pool,
-                out,
-                relu,
-            )
-        } else {
-            conv2d_gemm_packed_fused(
-                input,
-                &self.packed,
-                Some(&self.bias),
-                &self.params,
-                &self.pool,
-                out,
-                relu,
-            )
-        }
+        let precision = precision::selected();
+        let (bias, params, pool) = (Some(self.bias.as_slice()), &self.params, &self.pool);
+        self.form.run(
+            precision,
+            || WeightFormat::build(&self.weights, params, precision),
+            |form| match form {
+                WeightFormat::Dense(w) => {
+                    conv2d_gemm_packed_fused(input, w, bias, params, pool, out, relu)
+                }
+                WeightFormat::Csr(w) => {
+                    conv2d_sparse_packed_fused(input, w, bias, params, pool, out, relu)
+                }
+                WeightFormat::Int8Dense(w) => {
+                    let act_scale = self.act_scale_for(input);
+                    conv2d_i8_packed_fused(input, w, bias, params, pool, out, relu, act_scale)
+                }
+                WeightFormat::Int8Csr(w) => {
+                    let act_scale = self.act_scale_for(input);
+                    conv2d_i8_sparse_fused(input, w, bias, params, pool, out, relu, act_scale)
+                }
+            },
+        )
     }
 }
 
@@ -271,11 +217,8 @@ impl Layer for ConvLayer {
                 self.weights.shape()
             )));
         }
-        self.packed = PackedConvWeights::pack(&weights, &self.params)?;
         self.weights = weights;
-        *self.sparse_cache.write() = None;
-        *self.quant_cache.write() = None;
-        *self.quant_sparse_cache.write() = None;
+        self.form.clear();
         Ok(())
     }
 
@@ -290,6 +233,7 @@ impl Layer for ConvLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::{with_precision, SPARSE_THRESHOLD};
     use cap_tensor::conv2d_gemm;
     use cap_tensor::init::xavier_uniform;
 
@@ -325,9 +269,7 @@ mod tests {
         // route is pinned to f32 — the dense reference is the exact f32
         // kernel, so an int8 precision leg would route `forward` through
         // the quantized path and break the tight tolerance.
-        cap_tensor::precision::force(Some(cap_tensor::Precision::F32));
-        let via_layer = zeroed_dense.forward(&[&input]).unwrap();
-        cap_tensor::precision::force(None);
+        let via_layer = with_precision(Precision::F32, || zeroed_dense.forward(&[&input]).unwrap());
         let via_dense = conv2d_gemm(
             &input,
             zeroed_dense.weights().unwrap(),
@@ -336,6 +278,64 @@ mod tests {
         )
         .unwrap();
         assert!(via_layer.max_abs_diff(&via_dense).unwrap() < 1e-4);
+    }
+
+    /// A direct call of the one kernel entry that serves `layer`'s
+    /// weights in `format` (`csr`, `precision`), outside the layer.
+    fn direct_kernel(
+        layer: &ConvLayer,
+        input: &Tensor4,
+        csr: bool,
+        precision: Precision,
+    ) -> Tensor4 {
+        let (w, params, bias) = (layer.weights().unwrap(), layer.params(), Some(layer.bias()));
+        let pool = WorkspacePool::new();
+        let mut out = Tensor4::zeros(0, 0, 0, 0);
+        let scale = symmetric_scale(input.as_slice());
+        let sparse = CsrMatrix::from_dense(w, 0.0);
+        match (csr, precision) {
+            (false, Precision::F32) => {
+                let packed = PackedConvWeights::pack(w, params).unwrap();
+                conv2d_gemm_packed_fused(input, &packed, bias, params, &pool, &mut out, false)
+            }
+            (true, Precision::F32) => {
+                let packed = PackedSparseConvWeights::pack(&sparse, params).unwrap();
+                conv2d_sparse_packed_fused(input, &packed, bias, params, &pool, &mut out, false)
+            }
+            (false, Precision::Int8) => {
+                let q = QuantizedConvWeights::pack(w, params).unwrap();
+                conv2d_i8_packed_fused(input, &q, bias, params, &pool, &mut out, false, scale)
+            }
+            (true, Precision::Int8) => {
+                let q = QuantizedSparseConvWeights::pack(&sparse, params).unwrap();
+                conv2d_i8_sparse_fused(input, &q, bias, params, &pool, &mut out, false, scale)
+            }
+        }
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn format_follows_set_weights_and_precision() {
+        let mut l = layer(false);
+        let dense = l.weights().unwrap().clone();
+        let sparse = layer(true).weights().unwrap().clone();
+        assert!(!runs_csr(&dense) && runs_csr(&sparse));
+        let input = Tensor4::from_fn(2, 3, 5, 5, |n, c, h, w| {
+            ((n * 3 + c + h + w) % 7) as f32 - 3.0
+        });
+        let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Dense → CSR → dense weights, each run at f32 → int8 → f32
+        // without another `set_weights`: every forward runs exactly the
+        // kernel of the format its weights and precision call for.
+        for (w, csr) in [(&dense, false), (&sparse, true), (&dense, false)] {
+            l.set_weights(w.clone()).unwrap();
+            for precision in [Precision::F32, Precision::Int8, Precision::F32] {
+                let got = with_precision(precision, || l.forward(&[&input]).unwrap());
+                let want = direct_kernel(&l, &input, csr, precision);
+                assert_eq!(bits(&got), bits(&want), "{precision:?}, csr = {csr}");
+            }
+        }
     }
 
     #[test]

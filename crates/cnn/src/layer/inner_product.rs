@@ -1,47 +1,66 @@
 //! Fully-connected (Caffe "InnerProduct") layer.
 
-use super::{ChwShape, Layer, LayerKind};
+use super::{runs_csr, ChwShape, Layer, LayerKind, WeightSlot};
 use cap_tensor::{
     gemm_i8, gemm_prepacked_slice_fused, precision, quant::quantize_rows_into, symmetric_scale,
     CalibrationMethod, CsrMatrix, EpiBias, Epilogue, Matrix, PackedB, PackedBI8, Precision,
     ShapeError, Tensor4, TensorResult, WorkspacePool,
 };
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-
-use super::conv::SPARSE_THRESHOLD;
 
 /// Fully-connected layer: flattens each image to a vector and applies
 /// `y = W x + b` with `W: out × in`.
 ///
-/// Like [`super::ConvLayer`], pruned (sparse) weights switch execution to
-/// the CSR kernel.
+/// Like [`super::ConvLayer`], the weights are executed from one form
+/// built on the first forward, and pruned (sparse) weights run the CSR
+/// kernels.
 pub struct InnerProductLayer {
     name: String,
     in_features: usize,
     out_features: usize,
     weights: Matrix,
-    /// Panel-packed transpose of `weights` (`in × out`): the dense
-    /// forward computes `Y = X · Wᵀ`, whose GEMM inner loop runs along
-    /// the `out` dimension and vectorizes even at batch 1 (computing
-    /// `W · Xᵀ` instead degenerates to single-column GEMM). Packing
-    /// happens once here, not per forward call.
-    packed_t: PackedB,
     bias: Vec<f32>,
-    /// Lazily built CSR view of `weights`; invalidated by `set_weights`.
-    /// `Arc` so forwards clone a pointer, not the data.
-    sparse_cache: RwLock<Option<Arc<CsrMatrix>>>,
-    /// Lazily built int8 quantization of the packed transpose, built
-    /// only on the `CAP_TENSOR_PRECISION=int8` path; invalidated by
-    /// `set_weights`.
-    quant_cache: RwLock<Option<Arc<PackedBI8>>>,
+    /// The executable form of `weights`; cleared by `set_weights`.
+    form: WeightSlot<WeightFormat>,
     /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
     /// uncalibrated (per-call max-abs fallback).
     act_scale: AtomicU32,
-    /// Scratch pool for the per-call quantized activation buffer on the
-    /// int8 path.
+    /// Scratch pool for the sparse path's Xᵀ/Y staging at batch > 1 and
+    /// the int8 path's quantized activations.
     pool: WorkspacePool,
+}
+
+/// What a fully-connected layer's kernels run. Each variant is served by
+/// one kernel entry, except CSR: the matvec at batch 1, the SpMM above.
+enum WeightFormat {
+    /// Panel-packed transpose of the weights (`in × out`): the dense
+    /// forward computes `Y = X · Wᵀ`, whose GEMM inner loop runs along
+    /// the `out` dimension and vectorizes even at batch 1 (computing
+    /// `W · Xᵀ` instead degenerates to single-column GEMM).
+    Dense(PackedB),
+    /// CSR of the weights, f32 under either precision: CSR row-skipping
+    /// is bandwidth-bound, so int8 buys little there, and SpMV keeps its
+    /// scalar-by-contract guarantee.
+    Csr(CsrMatrix),
+    /// int8 quantization of the packed transpose.
+    Int8Dense(PackedBI8),
+}
+
+impl WeightFormat {
+    fn build(weights: &Matrix, precision: Precision) -> Self {
+        if runs_csr(weights) {
+            return Self::Csr(CsrMatrix::from_dense(weights, 0.0));
+        }
+        // Packed straight from W: a materialized Wᵀ would be a second
+        // full copy of the weights at the peak of the build.
+        match precision {
+            Precision::F32 => Self::Dense(PackedB::pack_transposed(weights)),
+            Precision::Int8 => Self::Int8Dense(PackedBI8::pack_transposed(
+                weights,
+                symmetric_scale(weights.as_slice()),
+            )),
+        }
+    }
 }
 
 impl InnerProductLayer {
@@ -55,16 +74,13 @@ impl InnerProductLayer {
                 out_features
             )));
         }
-        let packed_t = PackedB::pack(&weights.transpose());
         Ok(Self {
             name: name.into(),
             in_features,
             out_features,
             weights,
-            packed_t,
             bias,
-            sparse_cache: RwLock::new(None),
-            quant_cache: RwLock::new(None),
+            form: WeightSlot::new(),
             act_scale: AtomicU32::new(0),
             pool: WorkspacePool::new(),
         })
@@ -83,27 +99,6 @@ impl InnerProductLayer {
     /// Bias vector.
     pub fn bias(&self) -> &[f32] {
         &self.bias
-    }
-
-    fn sparse(&self) -> Arc<CsrMatrix> {
-        if let Some(cached) = self.sparse_cache.read().as_ref() {
-            return Arc::clone(cached);
-        }
-        let built = Arc::new(CsrMatrix::from_dense(&self.weights, 0.0));
-        *self.sparse_cache.write() = Some(Arc::clone(&built));
-        built
-    }
-
-    fn quant_t(&self) -> Arc<PackedBI8> {
-        if let Some(cached) = self.quant_cache.read().as_ref() {
-            return Arc::clone(cached);
-        }
-        // Wᵀ holds the same values as W, so the per-tensor scale can be
-        // taken from the untransposed weights without a second pass.
-        let scale = symmetric_scale(self.weights.as_slice());
-        let built = Arc::new(PackedBI8::pack(&self.weights.transpose(), scale));
-        *self.quant_cache.write() = Some(Arc::clone(&built));
-        built
     }
 
     /// Calibrated activation scale, or a deterministic per-call max-abs
@@ -133,67 +128,42 @@ impl InnerProductLayer {
         }
         let batch = input.n();
         out.resize(batch, self.out_features, 1, 1);
-        if self.weights.sparsity(0.0) > SPARSE_THRESHOLD {
-            if batch == 1 {
-                // Batch-1 sparse path: the product is a matvec, so run
-                // the CSR spmv kernel straight from the input slice into
-                // the output slice — no Xᵀ/Y staging matrices, no
-                // transposes, no allocation.
-                return self.sparse().matvec_fused_into(
-                    input.as_slice(),
-                    out.as_mut_slice(),
-                    Some(&self.bias),
-                    relu,
-                );
+        let precision = precision::selected();
+        let epi = Epilogue {
+            bias: Some(EpiBias::PerCol(&self.bias)),
+            relu,
+        };
+        let build = || Ok(WeightFormat::build(&self.weights, precision));
+        self.form.run(precision, build, |form| match form {
+            // Batch-1 sparse path: the product is a matvec, so run the
+            // CSR spmv kernel straight from the input slice into the
+            // output slice — no Xᵀ/Y staging, no allocation.
+            WeightFormat::Csr(csr) if batch == 1 => {
+                csr.matvec_fused_into(input.as_slice(), out.as_mut_slice(), Some(&self.bias), relu)
             }
-            // Sparse path: CSR row-skipping needs W's rows, so compute
-            // W (out×in, sparse) × Xᵀ (in×batch) and transpose back.
-            // Bias/ReLU ride the SpMM row store (CSR rows are out
-            // features, so the bias is per-row there).
-            let x_t = input.to_matrix().transpose();
-            let mut y = Matrix::zeros(self.out_features, batch);
-            self.sparse()
-                .matmul_dense_into_fused(&x_t, &mut y, Some(&self.bias), relu)?;
-            let o = out.as_mut_slice();
-            for b in 0..batch {
-                for of in 0..self.out_features {
-                    o[b * self.out_features + of] = y.get(of, b);
+            WeightFormat::Csr(csr) => {
+                // CSR row-skipping needs W's rows, so compute W (out×in,
+                // sparse) × Xᵀ (in×batch) in pooled scratch and transpose
+                // back. Bias/ReLU ride the SpMM row store (CSR rows are
+                // out features, so the bias is per-row there).
+                let (in_f, out_f) = (self.in_features, self.out_features);
+                let mut ws = self.pool.checkout();
+                let (x_t, y) = ws.conv_slots((in_f, batch), (out_f, batch));
+                let (x, xt) = (input.as_slice(), x_t.as_mut_slice());
+                for b in 0..batch {
+                    for i in 0..in_f {
+                        xt[i * batch + b] = x[b * in_f + i];
+                    }
                 }
+                csr.matmul_dense_into_fused(x_t, y, Some(&self.bias), relu)?;
+                let (yv, o) = (y.as_slice(), out.as_mut_slice());
+                for b in 0..batch {
+                    for of in 0..out_f {
+                        o[b * out_f + of] = yv[of * batch + b];
+                    }
+                }
+                Ok(())
             }
-        } else if precision::selected() == Precision::Int8 {
-            // Int8 dense path: quantize the flattened activations into
-            // pooled scratch with the calibrated (or fallback) scale,
-            // then run the integer GEMM against the pre-quantized Wᵀ,
-            // dequantizing by the combined scale in the store epilogue.
-            // The sparse branches above deliberately stay f32: CSR
-            // row-skipping is bandwidth-bound, so int8 buys little
-            // there, and SpMV keeps its scalar-by-contract guarantee.
-            let qw = self.quant_t();
-            let act_scale = self.act_scale_for(input);
-            let mut ws = self.pool.checkout();
-            let qb = ws.qbuf_slot();
-            let kp = quantize_rows_into(
-                input.as_slice(),
-                batch,
-                self.in_features,
-                1.0 / act_scale,
-                qb,
-            );
-            debug_assert_eq!(kp, qw.kp());
-            gemm_i8(
-                qb,
-                batch,
-                kp,
-                self.out_features,
-                qw.data(),
-                out.as_mut_slice(),
-                qw.scale() * act_scale,
-                Epilogue {
-                    bias: Some(EpiBias::PerCol(&self.bias)),
-                    relu,
-                },
-            )?;
-        } else {
             // Dense path: Y = X · Wᵀ, vectorizable at any batch size. A
             // `(n, c, 1, 1)` tensor's flat data IS the `n × c` row-major
             // matrix, so both input and output go straight through with
@@ -201,18 +171,38 @@ impl InnerProductLayer {
             // (routing through the dedicated gemv kernel when batch is
             // 1), and bias/ReLU ride its store as a per-column epilogue
             // (out features are GEMM columns here).
-            gemm_prepacked_slice_fused(
-                input.as_slice(),
-                batch,
-                &self.packed_t,
-                out.as_mut_slice(),
-                Epilogue {
-                    bias: Some(EpiBias::PerCol(&self.bias)),
-                    relu,
-                },
-            )?;
-        }
-        Ok(())
+            WeightFormat::Dense(w_t) => {
+                gemm_prepacked_slice_fused(input.as_slice(), batch, w_t, out.as_mut_slice(), epi)
+            }
+            // Int8 dense path: quantize the flattened activations into
+            // pooled scratch with the calibrated (or fallback) scale,
+            // then run the integer GEMM against the quantized Wᵀ,
+            // dequantizing by the combined scale in the store epilogue.
+            WeightFormat::Int8Dense(qw) => {
+                let act_scale = self.act_scale_for(input);
+                let mut ws = self.pool.checkout();
+                let qb = ws.qbuf_slot();
+                let kp = quantize_rows_into(
+                    input.as_slice(),
+                    batch,
+                    self.in_features,
+                    1.0 / act_scale,
+                    qb,
+                );
+                debug_assert_eq!(kp, qw.kp());
+                let scale = qw.scale() * act_scale;
+                gemm_i8(
+                    qb,
+                    batch,
+                    kp,
+                    self.out_features,
+                    qw.data(),
+                    out.as_mut_slice(),
+                    scale,
+                    epi,
+                )
+            }
+        })
     }
 }
 
@@ -279,10 +269,8 @@ impl Layer for InnerProductLayer {
                 self.weights.shape()
             )));
         }
-        self.packed_t = PackedB::pack(&weights.transpose());
         self.weights = weights;
-        *self.sparse_cache.write() = None;
-        *self.quant_cache.write() = None;
+        self.form.clear();
         Ok(())
     }
 
@@ -297,6 +285,7 @@ impl Layer for InnerProductLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::{with_precision, SPARSE_THRESHOLD};
     use cap_tensor::gemm;
 
     #[test]
@@ -307,9 +296,7 @@ mod tests {
         let x = Tensor4::from_vec(2, 2, 1, 1, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         // Exact-equality oracle: pin f32 so an int8 precision leg does
         // not route this forward through the quantized path.
-        cap_tensor::precision::force(Some(cap_tensor::Precision::F32));
-        let y = fc.forward(&[&x]).unwrap();
-        cap_tensor::precision::force(None);
+        let y = with_precision(Precision::F32, || fc.forward(&[&x]).unwrap());
         assert_eq!(y.shape(), (2, 3, 1, 1));
         assert_eq!(y.image(0), &[1.5, 3.5, 3.0]);
         assert_eq!(y.image(1), &[3.5, 7.5, 7.0]);
@@ -346,6 +333,121 @@ mod tests {
         for b in 0..3 {
             for o in 0..6 {
                 assert!((y.get(b, o, 0, 0) - dense_result.get(o, b)).abs() < 1e-4);
+            }
+        }
+    }
+
+    /// A direct call of the one kernel entry that serves `fc`'s weights
+    /// in format (`csr`, `precision`), outside the layer.
+    fn direct_kernel(
+        fc: &InnerProductLayer,
+        x: &Tensor4,
+        csr: bool,
+        precision: Precision,
+    ) -> Vec<f32> {
+        let (w, batch) = (fc.weights().unwrap(), x.n());
+        let mut y = vec![0.0; batch * fc.out_features()];
+        let epi = Epilogue {
+            bias: Some(EpiBias::PerCol(fc.bias())),
+            relu: false,
+        };
+        if csr {
+            // The batch-1 sparse route is the CSR matvec, in f32 under
+            // either precision.
+            assert_eq!(batch, 1);
+            let sparse = CsrMatrix::from_dense(w, 0.0);
+            sparse
+                .matvec_fused_into(x.as_slice(), &mut y, Some(fc.bias()), false)
+                .unwrap();
+        } else if precision == Precision::F32 {
+            let w_t = PackedB::pack(&w.transpose());
+            gemm_prepacked_slice_fused(x.as_slice(), batch, &w_t, &mut y, epi).unwrap();
+        } else {
+            let qw = PackedBI8::pack(&w.transpose(), symmetric_scale(w.as_slice()));
+            let act_scale = symmetric_scale(x.as_slice());
+            let mut qx = Vec::new();
+            let kp = quantize_rows_into(
+                x.as_slice(),
+                batch,
+                fc.in_features(),
+                1.0 / act_scale,
+                &mut qx,
+            );
+            let n = fc.out_features();
+            gemm_i8(
+                &qx,
+                batch,
+                kp,
+                n,
+                qw.data(),
+                &mut y,
+                qw.scale() * act_scale,
+                epi,
+            )
+            .unwrap();
+        }
+        y
+    }
+
+    #[test]
+    fn format_follows_set_weights_and_precision() {
+        let dense = Matrix::from_fn(6, 10, |r, c| ((r * 7 + c * 3) % 5) as f32 - 2.0 + 0.5);
+        let sparse = Matrix::from_fn(6, 10, |r, c| {
+            if (r + c) % 2 == 0 {
+                0.0
+            } else {
+                dense.get(r, c)
+            }
+        });
+        assert!(!runs_csr(&dense) && runs_csr(&sparse));
+        let mut fc = InnerProductLayer::new("fc_t", dense.clone(), vec![0.25; 6]).unwrap();
+        let x = Tensor4::from_fn(1, 10, 1, 1, |_, c, _, _| c as f32 * 0.3 - 1.2);
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Dense → CSR → dense weights, each run at f32 → int8 → f32
+        // without another `set_weights`: every forward runs exactly the
+        // kernel of the format its weights and precision call for.
+        for (w, csr) in [(&dense, false), (&sparse, true), (&dense, false)] {
+            fc.set_weights(w.clone()).unwrap();
+            for precision in [Precision::F32, Precision::Int8, Precision::F32] {
+                let got = with_precision(precision, || fc.forward(&[&x]).unwrap());
+                let want = direct_kernel(&fc, &x, csr, precision);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(&want),
+                    "{precision:?}, csr = {csr}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_batched_path_matches_spmm_bitwise() {
+        // Batch > 1 on CSR weights stages Xᵀ and Y in pooled scratch;
+        // the result must be the SpMM of W and Xᵀ, transposed back.
+        let w = Matrix::from_fn(6, 10, |r, c| {
+            if (r + c) % 3 == 0 {
+                (r as f32 - c as f32) / 4.0
+            } else {
+                0.0
+            }
+        });
+        let bias: Vec<f32> = (0..6).map(|o| o as f32 * 0.1 - 0.2).collect();
+        let fc = InnerProductLayer::new("fc_t", w.clone(), bias.clone()).unwrap();
+        let x = Tensor4::from_fn(4, 10, 1, 1, |n, c, _, _| {
+            ((n * 5 + c) % 9) as f32 / 3.0 - 1.0
+        });
+        let mut want = Matrix::zeros(6, 4);
+        CsrMatrix::from_dense(&w, 0.0)
+            .matmul_dense_into_fused(&x.to_matrix().transpose(), &mut want, Some(&bias), true)
+            .unwrap();
+        // Twice, so the second forward runs on recycled scratch.
+        let mut got = Tensor4::zeros(0, 0, 0, 0);
+        for _ in 0..2 {
+            fc.forward_into_fused(&[&x], &mut got).unwrap();
+            for b in 0..4 {
+                for o in 0..6 {
+                    assert_eq!(got.get(b, o, 0, 0).to_bits(), want.get(o, b).to_bits());
+                }
             }
         }
     }

@@ -10,6 +10,16 @@ use cap_cnn::layer::{
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_tensor::{init::xavier_uniform, Conv2dParams, Matrix, Tensor4};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// `precision::force` is process-global: every test here that runs a
+/// forward holds this lock, so the one test that pins f32 never flips
+/// the precision under another test's comparison (in the int8 leg the
+/// two sides of a comparison would otherwise run different kernels).
+fn precision_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A small net exercising every layer type with an overridden
 /// `forward_into`: grouped conv, relu, LRN, pool, branchy concat,
@@ -102,6 +112,7 @@ proptest! {
         b2 in 1usize..6,
         sparse in proptest::bool::ANY,
     ) {
+        let _guard = precision_lock();
         let net = build_net(seed, sparse);
         let mut arena = ForwardArena::new();
         for (round, &b) in [b1, b2, b1].iter().enumerate() {
@@ -118,6 +129,7 @@ proptest! {
 fn sparse_layer_path_matches_dense_kernel() {
     // Pruned weights run through the pre-split CSR path must agree with
     // the same weights forced through the dense GEMM kernel.
+    let _guard = precision_lock();
     let sparse_net = build_net(7, true);
     let w = sparse_net.layer("c1").unwrap().weights().unwrap().clone();
     assert!(w.sparsity(0.0) > SPARSE_THRESHOLD);
@@ -142,7 +154,8 @@ fn sparse_layer_path_matches_dense_kernel() {
 #[test]
 fn arena_survives_weight_swap() {
     // Pruning mid-flight (set_layer_weights) must interoperate with an
-    // existing arena: packed weights are rebuilt, buffers are reused.
+    // existing arena: the weight form is rebuilt, buffers are reused.
+    let _guard = precision_lock();
     let mut net = build_net(3, false);
     let x = images(2, 5);
     let mut arena = ForwardArena::new();

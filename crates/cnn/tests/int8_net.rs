@@ -130,6 +130,20 @@ fn logit_scale(out: &[Vec<f32>]) -> f32 {
         .max(1e-6)
 }
 
+/// Each weighted layer holds one executable weight form and swaps it
+/// when the process precision changes; a pass after the int8 pass must
+/// reproduce the pass before it bit for bit.
+fn assert_same_after_swap(before: &[Vec<f32>], after: &[Vec<f32>]) {
+    assert_eq!(before.len(), after.len());
+    for (i, (a, b)) in before.iter().zip(after).enumerate() {
+        let (a, b): (Vec<u32>, Vec<u32>) = (
+            a.iter().map(|v| v.to_bits()).collect(),
+            b.iter().map(|v| v.to_bits()).collect(),
+        );
+        assert_eq!(a, b, "image {i} changed after the int8 pass");
+    }
+}
+
 #[test]
 fn int8_logits_track_f32_within_bound() {
     let _guard = force_lock();
@@ -147,6 +161,7 @@ fn int8_logits_track_f32_within_bound() {
         agreement >= 0.9,
         "top-1 agreement {agreement} below 0.9 (Δmax {max_diff})"
     );
+    assert_same_after_swap(&f, &forward_under(None, &net, &imgs, 4));
 }
 
 #[test]
@@ -165,6 +180,7 @@ fn pruned_int8_sparse_path_tracks_f32() {
         "pruned int8 logits drifted {max_diff} (> {bound})"
     );
     assert!(agreement >= 0.9, "top-1 agreement {agreement} below 0.9");
+    assert_same_after_swap(&f, &forward_under(None, &net, &imgs, 2));
 }
 
 #[test]

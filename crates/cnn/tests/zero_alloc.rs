@@ -121,8 +121,9 @@ fn steady_state_inference_allocates_nothing() {
     });
     let mut arena = ForwardArena::new();
 
-    // Warm-up: grows workspace pools, packed-weight caches, and arena
-    // slots to their steady-state high-water marks.
+    // Warm-up: builds each weighted layer's executable weight form and
+    // grows workspace pools and arena slots to their steady-state
+    // high-water marks.
     for _ in 0..3 {
         net.forward_into(&images, &mut arena).unwrap();
     }
@@ -199,11 +200,12 @@ fn steady_state_inference_allocates_nothing() {
     });
     assert_eq!(allocs, 0, "shrunken batch must reuse grown buffers");
 
-    // The batch-1 pruned-FC route: the fused CSR matvec
+    // The pruned-FC routes. Batch 1: the fused CSR matvec
     // (`matvec_fused_into`) runs straight from the input slice into the
-    // arena slot — no Xᵀ/Y staging matrices, no transposes. Warm-up
-    // absorbs the lazy CSR build and the fusion plan; steady state
-    // must stay silent.
+    // arena slot — no Xᵀ/Y staging matrices, no transposes. Batch 4:
+    // the CSR SpMM stages Xᵀ and Y in the layer's workspace pool.
+    // Warm-up absorbs the lazy CSR build, the pool's growth and the
+    // fusion plan; steady state must stay silent.
     {
         let dense = xavier_uniform(10, 48, 21);
         let (rows, cols) = dense.shape();
@@ -237,6 +239,21 @@ fn steady_state_inference_allocates_nothing() {
         assert_eq!(
             allocs, 0,
             "batch-1 sparse FC (fused spmv) must not allocate (got {allocs})",
+        );
+
+        let four = Tensor4::from_fn(4, 48, 1, 1, |n, c, _, _| {
+            ((n * 11 + c) % 17) as f32 / 8.0 - 1.0
+        });
+        let mut batched_arena = ForwardArena::new();
+        for _ in 0..3 {
+            sparse_net.forward_into(&four, &mut batched_arena).unwrap();
+        }
+        let allocs = min_allocs_over(5, 5, || {
+            sparse_net.forward_into(&four, &mut batched_arena).unwrap();
+        });
+        assert_eq!(
+            allocs, 0,
+            "batch-4 sparse FC (pooled SpMM staging) must not allocate (got {allocs})",
         );
     }
 }

@@ -336,8 +336,8 @@ pub fn conv2d_sparse(
 ///
 /// [`conv2d_gemm`] re-slices and copies the group band out of the flat
 /// weight matrix for every image of every call; for Caffenet's grouped
-/// layers that is a fresh `O(weights)` allocation per image. Packing once
-/// at layer construction removes it from the steady state entirely.
+/// layers that is a fresh `O(weights)` allocation per image. Packing once,
+/// on a layer's first forward, removes it from the steady state entirely.
 #[derive(Debug, Clone)]
 pub struct PackedConvWeights {
     bands: Vec<Matrix>,
@@ -414,33 +414,21 @@ impl PackedSparseConvWeights {
 }
 
 /// im2col+GEMM convolution with pre-packed weights and pooled scratch —
-/// the zero-allocation steady-state path.
+/// the zero-allocation steady-state path — with the bias add and an
+/// optional ReLU fused into the GEMM store.
 ///
 /// Numerically identical to [`conv2d_gemm`] (same kernels, same
 /// accumulation order); differs only in where buffers come from: weight
 /// bands are pre-split in `weights`, the `cols`/`prod` scratch matrices
 /// come from `pool` (one workspace per rayon worker), and the output is
 /// written into `out`, which is reshaped in place (reusing capacity).
-pub fn conv2d_gemm_packed(
-    input: &Tensor4,
-    weights: &PackedConvWeights,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    pool: &WorkspacePool,
-    out: &mut Tensor4,
-) -> TensorResult<()> {
-    conv2d_gemm_packed_fused(input, weights, bias, params, pool, out, false)
-}
-
-/// [`conv2d_gemm_packed`] with the bias add and an optional ReLU fused
-/// into the GEMM store.
 ///
 /// The bias is applied through the kernel epilogue as one `f32` add per
-/// element — the same operation [`conv2d_gemm_packed`]'s separate bias
-/// pass performs — and `relu` appends the `forward_into`-flavor ReLU,
-/// so the output makes one round-trip through memory instead of up to
-/// three. Bitwise identical to the unfused convolution followed by a
-/// standalone ReLU layer, on every bit-identical kernel path.
+/// element, and `relu` appends the `forward_into`-flavor ReLU, so the
+/// output makes one round-trip through memory instead of up to three.
+/// With `relu` set the result is bitwise identical to the call without
+/// it followed by a standalone ReLU layer, on every bit-identical
+/// kernel path.
 pub fn conv2d_gemm_packed_fused(
     input: &Tensor4,
     weights: &PackedConvWeights,
@@ -553,25 +541,12 @@ pub fn conv2d_gemm_packed_fused(
     Ok(())
 }
 
-/// CSR-sparse convolution with pre-split group bands and pooled scratch.
+/// CSR-sparse convolution with pre-split group bands and pooled scratch,
+/// with bias and an optional ReLU fused into the SpMM row store.
 ///
 /// The zero-allocation counterpart of [`conv2d_sparse`]: no per-call
-/// densify/re-sparsify, no per-image `cols`/`prod` allocation.
-pub fn conv2d_sparse_packed(
-    input: &Tensor4,
-    weights: &PackedSparseConvWeights,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    pool: &WorkspacePool,
-    out: &mut Tensor4,
-) -> TensorResult<()> {
-    conv2d_sparse_packed_fused(input, weights, bias, params, pool, out, false)
-}
-
-/// [`conv2d_sparse_packed`] with bias and an optional ReLU fused into
-/// the SpMM row store — the sparse counterpart of
-/// [`conv2d_gemm_packed_fused`], with the same bitwise-identity
-/// contract versus the unfused convolution + ReLU pair.
+/// densify/re-sparsify, no per-image `cols`/`prod` allocation. Same
+/// bitwise-identity contract for `relu` as [`conv2d_gemm_packed_fused`].
 pub fn conv2d_sparse_packed_fused(
     input: &Tensor4,
     weights: &PackedSparseConvWeights,

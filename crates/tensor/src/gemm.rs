@@ -136,6 +136,23 @@ impl PackedB {
         Self { k, n, data }
     }
 
+    /// Pack the transpose of an `n × k` matrix — the `k × n` matrix
+    /// `btᵀ` — without materializing the transpose: the fully-connected
+    /// layer packs its `Wᵀ` straight from `W`. Same layout, so the same
+    /// results, as `PackedB::pack(&bt.transpose())`.
+    pub fn pack_transposed(bt: &Matrix) -> Self {
+        let (n, k) = bt.shape();
+        let panels = n.div_ceil(PANEL);
+        let mut data = vec![0.0f32; panels * k * PANEL];
+        for c in 0..n {
+            let base = (c / PANEL) * k * PANEL + c % PANEL;
+            for (kk, &v) in bt.row(c).iter().enumerate() {
+                data[base + kk * PANEL] = v;
+            }
+        }
+        Self { k, n, data }
+    }
+
     /// Logical `(k, n)` shape of the packed matrix.
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
@@ -163,55 +180,13 @@ fn pack_panels(b_data: &[f32], k: usize, n: usize, dst: &mut [f32]) {
 /// This is the per-call sibling of [`PackedB::pack`] for `B` operands
 /// that change every call — e.g. a convolution's im2col column matrix —
 /// where the O(k·n) copy is amortized against the O(m·k·n) multiply
-/// that follows via [`gemm_packed_cols`].
+/// that follows via [`gemm_packed_cols_fused`].
 pub fn pack_b_slice_into(b_data: &[f32], k: usize, n: usize, dst: &mut Matrix) {
     let panels = n.div_ceil(PANEL);
     dst.resize(panels.max(1), k * PANEL);
     if panels > 0 {
         pack_panels(b_data, k, n, dst.as_mut_slice());
     }
-}
-
-/// GEMM against a `B` packed by [`pack_b_slice_into`].
-///
-/// `a_data` is `m × k` row-major, `packed_b` holds `n.div_ceil(PANEL)`
-/// panels of `k × PANEL`, `c_data` is `m × n` row-major. Identical
-/// accumulation order to [`gemm_prealloc`], so results are bit-equal.
-pub fn gemm_packed_cols(
-    a_data: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    packed_b: &[f32],
-    c_data: &mut [f32],
-) -> TensorResult<()> {
-    if a_data.len() != m * k {
-        return Err(ShapeError::new(format!(
-            "gemm_packed_cols: A length {} != {}x{}",
-            a_data.len(),
-            m,
-            k
-        )));
-    }
-    if c_data.len() != m * n {
-        return Err(ShapeError::new(format!(
-            "gemm_packed_cols: C length {} != {}x{}",
-            c_data.len(),
-            m,
-            n
-        )));
-    }
-    if packed_b.len() < n.div_ceil(PANEL) * k * PANEL {
-        return Err(ShapeError::new(format!(
-            "gemm_packed_cols: packed B length {} < {} panels of {}x{}",
-            packed_b.len(),
-            n.div_ceil(PANEL),
-            k,
-            PANEL
-        )));
-    }
-    gemm_packed_core(a_data, k, n, packed_b, c_data);
-    Ok(())
 }
 
 /// Multiply `A` by a pre-packed `B` into a preallocated output.
@@ -250,46 +225,19 @@ pub fn gemm_prepacked(a: &Matrix, b: &PackedB, c: &mut Matrix) -> TensorResult<(
             (m, n)
         )));
     }
-    gemm_prepacked_slice(a.as_slice(), m, b, c.as_mut_slice())
+    gemm_prepacked_slice_fused(a.as_slice(), m, b, c.as_mut_slice(), Epilogue::NONE)
 }
 
-/// [`gemm_prepacked`] over raw row-major slices.
+/// GEMM against a `B` packed by [`pack_b_slice_into`], with a fused
+/// [`Epilogue`] (bias/ReLU folded into the store — see
+/// [`crate::kernels::Epilogue`] for the bitwise contract;
+/// [`Epilogue::NONE`] is the plain product).
 ///
-/// `a` is `m × b.k` row-major, `c` is `m × b.n` row-major. Lets callers
-/// whose data lives in other containers (e.g. an NCHW `Tensor4` whose
-/// flattened images are already row-major feature rows) multiply without
-/// copying into a `Matrix` first.
-pub fn gemm_prepacked_slice(
-    a_data: &[f32],
-    m: usize,
-    b: &PackedB,
-    c_data: &mut [f32],
-) -> TensorResult<()> {
-    let (k, n) = b.shape();
-    if a_data.len() != m * k {
-        return Err(ShapeError::new(format!(
-            "gemm_prepacked: A length {} != {}x{}",
-            a_data.len(),
-            m,
-            k
-        )));
-    }
-    if c_data.len() != m * n {
-        return Err(ShapeError::new(format!(
-            "gemm_prepacked: C length {} != {}x{}",
-            c_data.len(),
-            m,
-            n
-        )));
-    }
-    gemm_packed_core(a_data, k, n, &b.data, c_data);
-    Ok(())
-}
-
-/// [`gemm_packed_cols`] plus a fused [`Epilogue`] (bias/ReLU folded
-/// into the store — see [`crate::kernels::Epilogue`] for the bitwise
-/// contract). The convolution layers use this to fuse their per-channel
-/// bias and a following ReLU into the GEMM itself.
+/// `a_data` is `m × k` row-major, `packed_b` holds `n.div_ceil(PANEL)`
+/// panels of `k × PANEL`, `c_data` is `m × n` row-major. Identical
+/// accumulation order to [`gemm_prealloc`], so results are bit-equal.
+/// The convolution layers use this to fuse their per-channel bias and a
+/// following ReLU into the GEMM itself.
 pub fn gemm_packed_cols_fused(
     a_data: &[f32],
     m: usize,
@@ -328,9 +276,15 @@ pub fn gemm_packed_cols_fused(
     Ok(())
 }
 
-/// [`gemm_prepacked_slice`] plus a fused [`Epilogue`] — the
-/// fully-connected layer's route for folding its per-output-column
-/// bias and a following ReLU into the GEMM/GEMV store.
+/// [`gemm_prepacked`] over raw row-major slices, with a fused
+/// [`Epilogue`] ([`Epilogue::NONE`] is the plain product).
+///
+/// `a` is `m × b.k` row-major, `c` is `m × b.n` row-major. Lets callers
+/// whose data lives in other containers (e.g. an NCHW `Tensor4` whose
+/// flattened images are already row-major feature rows) multiply without
+/// copying into a `Matrix` first. The fully-connected layer's route for
+/// folding its per-output-column bias and a following ReLU into the
+/// GEMM/GEMV store.
 pub fn gemm_prepacked_slice_fused(
     a_data: &[f32],
     m: usize,
@@ -359,19 +313,15 @@ pub fn gemm_prepacked_slice_fused(
     Ok(())
 }
 
-/// Shared band loop for [`gemm_prepacked_slice`] / [`gemm_packed_cols`]:
-/// `b_data` is panel-packed, lengths already validated by callers.
+/// Shared band loop for [`gemm_prepacked_slice_fused`] /
+/// [`gemm_packed_cols_fused`]: `b_data` is panel-packed, lengths already
+/// validated by callers. The epilogue is threaded through to the
+/// microkernels (a no-op epilogue dispatches to the plain kernels).
 ///
 /// The per-band microkernel lives in [`crate::kernels`]
 /// (`gemm_packed_band`): register-blocked `ROW_BLOCK × PANEL`
 /// accumulation in ascending-`kk` order on every dispatch path, so
 /// results are bit-identical across scalar and (non-FMA) SIMD backends.
-fn gemm_packed_core(a_data: &[f32], k: usize, n: usize, b_data: &[f32], c_data: &mut [f32]) {
-    gemm_packed_core_fused(a_data, k, n, b_data, c_data, Epilogue::NONE);
-}
-
-/// [`gemm_packed_core`] with a fused epilogue threaded through to the
-/// microkernels (a no-op epilogue dispatches to the plain kernels).
 ///
 /// `m == 1` — the batch-1 inference shape — routes to the dedicated
 /// GEMV kernel instead of a degenerate one-row band: row bands cannot
@@ -480,6 +430,19 @@ mod tests {
                 .wrapping_add(seed as usize);
             ((h % 13) as f32 - 6.0) / 6.0
         })
+    }
+
+    #[test]
+    fn pack_transposed_matches_packing_the_transpose() {
+        for (n, k) in [(1, 1), (5, 3), (8, 7), (17, 4), (3, 0), (0, 4)] {
+            let bt = mat(n, k, 9);
+            let (a, b) = (
+                PackedB::pack_transposed(&bt),
+                PackedB::pack(&bt.transpose()),
+            );
+            assert_eq!(a.shape(), b.shape());
+            assert_eq!(a.data, b.data, "n = {n}, k = {k}");
+        }
     }
 
     #[test]

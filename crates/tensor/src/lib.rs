@@ -7,8 +7,8 @@
 //! matrix kernels so that pruned (sparsified) CNN layers actually run
 //! faster. This crate is that substrate, built from scratch:
 //!
-//! * [`Matrix`] — row-major dense `f32` matrix with a blocked,
-//!   rayon-parallel GEMM ([`gemm()`]).
+//! * [`Matrix`] — row-major dense `f32` matrix with a blocked GEMM
+//!   ([`gemm()`]).
 //! * [`Tensor4`] — NCHW activation tensor used by the CNN layers.
 //! * [`CsrMatrix`] — compressed sparse row matrix with sparse×dense
 //!   multiplication ([`CsrMatrix::matmul_dense`]), the kernel that turns
@@ -19,7 +19,7 @@
 //!   max/average pooling kernels.
 //! * [`workspace`] — reusable scratch arenas ([`Workspace`],
 //!   [`WorkspacePool`]) behind the zero-allocation steady-state kernels
-//!   ([`conv2d_gemm_packed`], [`conv2d_sparse_packed`],
+//!   ([`conv2d_gemm_packed_fused`], [`conv2d_sparse_packed_fused`],
 //!   [`gemm_prepacked`]).
 //!
 //! All kernels are deterministic given deterministic inputs; parallelism
@@ -50,15 +50,14 @@ pub mod tensor4;
 pub mod workspace;
 
 pub use conv::{
-    conv2d_direct, conv2d_gemm, conv2d_gemm_packed, conv2d_gemm_packed_fused, conv2d_sparse,
-    conv2d_sparse_packed, conv2d_sparse_packed_fused, Conv2dParams, PackedConvWeights,
-    PackedSparseConvWeights,
+    conv2d_direct, conv2d_gemm, conv2d_gemm_packed_fused, conv2d_sparse,
+    conv2d_sparse_packed_fused, Conv2dParams, PackedConvWeights, PackedSparseConvWeights,
 };
 pub use dense::Matrix;
 pub use error::{ShapeError, TensorResult};
 pub use gemm::{
-    gemm, gemm_packed_cols, gemm_packed_cols_fused, gemm_prealloc, gemm_prepacked,
-    gemm_prepacked_slice, gemm_prepacked_slice_fused, pack_b_slice_into, PackedB,
+    gemm, gemm_packed_cols_fused, gemm_prealloc, gemm_prepacked, gemm_prepacked_slice_fused,
+    pack_b_slice_into, PackedB,
 };
 pub use im2col::{col2im, im2col, im2col_packed_prealloc, im2col_prealloc};
 pub use kernels::{EpiBias, Epilogue, KernelPath};

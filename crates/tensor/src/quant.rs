@@ -247,6 +247,29 @@ impl PackedBI8 {
         }
     }
 
+    /// Quantize and pack the transpose of an `n × k` matrix with
+    /// `scale`, without materializing the transpose. Same layout, so the
+    /// same results, as `PackedBI8::pack(&bt.transpose(), scale)`.
+    pub fn pack_transposed(bt: &Matrix, scale: f32) -> Self {
+        let (n, k) = bt.shape();
+        let kp = k.next_multiple_of(2);
+        let inv_scale = 1.0 / scale;
+        let mut data = vec![0i8; n.div_ceil(PANEL) * kp * PANEL];
+        for c in 0..n {
+            let base = (c / PANEL) * kp * PANEL + 2 * (c % PANEL);
+            for (r, &v) in bt.row(c).iter().enumerate() {
+                data[base + (r / 2) * 2 * PANEL + r % 2] = quantize_i8(v, inv_scale);
+            }
+        }
+        Self {
+            data,
+            k,
+            kp,
+            n,
+            scale,
+        }
+    }
+
     /// Packed panels as a flat slice.
     pub fn data(&self) -> &[i8] {
         &self.data
@@ -765,6 +788,18 @@ mod tests {
         Matrix::from_fn(rows, cols, |r, c| {
             ((((r + seed) * 13 + c * 7) % 17) as f32 - 8.0) / 8.0
         })
+    }
+
+    #[test]
+    fn pack_transposed_matches_packing_the_transpose() {
+        for (n, k) in [(1, 1), (5, 3), (8, 7), (17, 4), (3, 0), (0, 4)] {
+            let bt = det_matrix(n, k, 5);
+            let scale = symmetric_scale(bt.as_slice());
+            let a = PackedBI8::pack_transposed(&bt, scale);
+            let b = PackedBI8::pack(&bt.transpose(), scale);
+            assert_eq!((a.k, a.kp, a.n), (b.k, b.kp, b.n));
+            assert_eq!(a.data, b.data, "n = {n}, k = {k}");
+        }
     }
 
     #[test]

@@ -198,27 +198,23 @@ impl CsrMatrix {
     /// `O(nnz_row * n)` instead of `O(k * n)`.
     pub fn matmul_dense(&self, b: &Matrix) -> TensorResult<Matrix> {
         let mut c = Matrix::zeros(self.rows, b.cols());
-        self.matmul_dense_into(b, &mut c)?;
+        self.matmul_dense_into_fused(b, &mut c, None, false)?;
         Ok(c)
     }
 
-    /// Sparse × dense multiplication into a preallocated output.
+    /// Sparse × dense multiplication into a preallocated output, with a
+    /// fused bias/ReLU epilogue.
     ///
     /// `c` must already have shape `(self.rows, b.cols)`; prior contents
     /// are overwritten. The zero-allocation variant of
     /// [`CsrMatrix::matmul_dense`] for steady-state inference loops.
-    pub fn matmul_dense_into(&self, b: &Matrix, c: &mut Matrix) -> TensorResult<()> {
-        self.matmul_dense_into_fused(b, c, None, false)
-    }
-
-    /// [`CsrMatrix::matmul_dense_into`] with a fused bias/ReLU epilogue.
     ///
     /// `row_bias`, when present, adds `row_bias[r]` to every element of
     /// output row `r` (CSR rows are conv output channels / FC output
     /// features), then `relu` applies the `forward_into`-flavor ReLU —
     /// both in the same pass that stores the row, saving two full
     /// round-trips of the output through memory. Bitwise identical to
-    /// the unfused multiply + bias pass + ReLU pass on every
+    /// the plain multiply (`None, false`) + bias pass + ReLU pass on every
     /// bit-identical kernel path.
     pub fn matmul_dense_into_fused(
         &self,
@@ -278,8 +274,8 @@ impl CsrMatrix {
     }
 
     /// Split into consecutive row bands of `band_rows` each, without
-    /// densifying. Used to pre-split grouped-convolution weights once at
-    /// layer construction instead of rebuilding per call.
+    /// densifying. Used to pre-split grouped-convolution weights once,
+    /// when a layer builds its weight form, instead of per call.
     ///
     /// `self.rows` must be a multiple of `band_rows`.
     pub fn split_rows(&self, band_rows: usize) -> TensorResult<Vec<CsrMatrix>> {
@@ -313,23 +309,18 @@ impl CsrMatrix {
     /// Sparse matrix–vector product.
     pub fn matvec(&self, x: &[f32]) -> TensorResult<Vec<f32>> {
         let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y)?;
+        self.matvec_fused_into(x, &mut y, None, false)?;
         Ok(y)
     }
 
-    /// Sparse matrix–vector product into a caller-provided slice.
+    /// Sparse matrix–vector product into a caller-provided slice, with a
+    /// fused bias/ReLU epilogue: `y[r] = relu(Σ row_r · x + bias[r])`,
+    /// each part optional and skipped (not zero-filled) when absent.
     ///
     /// The zero-allocation variant of [`CsrMatrix::matvec`] for
-    /// steady-state inference loops; `y` must have exactly `rows`
-    /// entries and is overwritten.
-    pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) -> TensorResult<()> {
-        self.matvec_fused_into(x, y, None, false)
-    }
-
-    /// [`CsrMatrix::matvec_into`] with a fused bias/ReLU epilogue:
-    /// `y[r] = relu(Σ row_r · x + bias[r])`, each part optional and
-    /// skipped (not zero-filled) when absent. The batch-1 path of a
-    /// pruned fully-connected layer.
+    /// steady-state inference loops — the batch-1 path of a pruned
+    /// fully-connected layer; `y` must have exactly `rows` entries and is
+    /// overwritten.
     pub fn matvec_fused_into(
         &self,
         x: &[f32],
@@ -544,17 +535,19 @@ mod tests {
     }
 
     #[test]
-    fn matvec_into_matches_matvec_bitwise() {
+    fn matvec_fused_into_without_epilogue_matches_matvec_bitwise() {
         let (_, csr) = sparse_dense_pair(6, 8, 3);
         let x: Vec<f32> = (0..8).map(|i| i as f32 * 0.5 - 2.0).collect();
         let alloc = csr.matvec(&x).unwrap();
         let mut into = vec![f32::NAN; 6];
-        csr.matvec_into(&x, &mut into).unwrap();
+        csr.matvec_fused_into(&x, &mut into, None, false).unwrap();
         for (a, b) in alloc.iter().zip(&into) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Shape errors on the output side too.
-        assert!(csr.matvec_into(&x, &mut [0.0; 5]).is_err());
+        assert!(csr
+            .matvec_fused_into(&x, &mut [0.0; 5], None, false)
+            .is_err());
     }
 
     #[test]

@@ -154,7 +154,14 @@ fn fused_gemm_matches_scalar_unfused_plus_manual_epilogue() {
         let reference = on_path(KernelPath::Scalar, || {
             let packed = PackedB::pack(&b);
             let mut c = Matrix::zeros(m, n);
-            cap_tensor::gemm_prepacked_slice(a.as_slice(), m, &packed, c.as_mut_slice()).unwrap();
+            cap_tensor::gemm_prepacked_slice_fused(
+                a.as_slice(),
+                m,
+                &packed,
+                c.as_mut_slice(),
+                Epilogue::NONE,
+            )
+            .unwrap();
             c
         });
         for (row_bias, col_bias, relu) in epilogue_cases(m, n, 17) {
@@ -373,7 +380,14 @@ proptest! {
         let mut want = on_path(KernelPath::Scalar, || {
             let packed = PackedB::pack(&b);
             let mut c = Matrix::zeros(m, n);
-            cap_tensor::gemm_prepacked_slice(a.as_slice(), m, &packed, c.as_mut_slice()).unwrap();
+            cap_tensor::gemm_prepacked_slice_fused(
+                a.as_slice(),
+                m,
+                &packed,
+                c.as_mut_slice(),
+                Epilogue::NONE,
+            )
+            .unwrap();
             c
         });
         manual_epilogue(want.as_mut_slice(), n, row_bias.as_deref(), col_bias.as_deref(), relu);

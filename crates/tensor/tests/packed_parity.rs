@@ -3,8 +3,8 @@
 //! implementation it replaces, across randomized shapes and contents.
 
 use cap_tensor::{
-    conv2d_gemm, conv2d_gemm_packed, conv2d_sparse, conv2d_sparse_packed, gemm, gemm_prealloc,
-    gemm_prepacked, Conv2dParams, CsrMatrix, Matrix, PackedB, PackedConvWeights,
+    conv2d_gemm, conv2d_gemm_packed_fused, conv2d_sparse, conv2d_sparse_packed_fused, gemm,
+    gemm_prealloc, gemm_prepacked, Conv2dParams, CsrMatrix, Matrix, PackedB, PackedConvWeights,
     PackedSparseConvWeights, Tensor4, WorkspacePool,
 };
 use proptest::prelude::*;
@@ -105,7 +105,8 @@ proptest! {
         // Run twice into the same output: the second pass reuses every
         // buffer and must still agree.
         for _ in 0..2 {
-            conv2d_gemm_packed(&input, &packed, Some(&bias), &params, &pool, &mut got).unwrap();
+            conv2d_gemm_packed_fused(&input, &packed, Some(&bias), &params, &pool, &mut got, false)
+                .unwrap();
         }
         prop_assert_eq!(expect.shape(), got.shape());
         prop_assert!(expect.max_abs_diff(&got).unwrap() <= 1e-6);
@@ -133,7 +134,8 @@ proptest! {
         let pool = WorkspacePool::new();
         let mut got = Tensor4::zeros(0, 0, 0, 0);
         for _ in 0..2 {
-            conv2d_sparse_packed(&input, &packed, None, &params, &pool, &mut got).unwrap();
+            conv2d_sparse_packed_fused(&input, &packed, None, &params, &pool, &mut got, false)
+                .unwrap();
         }
         prop_assert!(expect.max_abs_diff(&got).unwrap() <= 1e-6);
 

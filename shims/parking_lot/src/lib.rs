@@ -3,7 +3,7 @@
 //! parking_lot's locks differ from std's in that they do not poison: a
 //! panic while holding the lock leaves it usable. The shim reproduces that
 //! by stripping `PoisonError` (taking the guard out of the error), which
-//! matches parking_lot semantics closely enough for the weight-cache and
+//! matches parking_lot semantics closely enough for the weight-slot and
 //! workspace-pool use in this workspace.
 
 use std::sync::{self, PoisonError};
